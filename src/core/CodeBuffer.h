@@ -27,6 +27,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <string>
 
 namespace vcode {
 
@@ -72,6 +73,9 @@ struct CodeMem {
   /// client handed it over directly; the retry driver and the code cache
   /// stamp themselves). Null means the legacy direct-to-v_lambda wording.
   const char *Source = nullptr;
+  /// Name v_end publishes the region's CodeMap entry under (the cache key
+  /// for CodeCache regions); null leaves it to VCode::setFunctionName.
+  const std::string *Name = nullptr;
 };
 
 /// Result of v_end: the entry address of a finished function. SizeBytes
@@ -160,6 +164,19 @@ public:
     ensureWords(8);
     std::memcpy(Ip, &V, 8);
     Ip += 8;
+  }
+
+  /// Emits \p N copies of unit \p W with one bounds check (the reserved
+  /// worst-case prologue every v_lambda writes).
+  void fill(uint32_t W, size_t N) {
+    ensureWords(N);
+    uint8_t *End = Ip + N * Unit;
+    if (Unit == 1)
+      std::memset(Ip, int(uint8_t(W)), N);
+    else
+      for (uint8_t *P = Ip; P != End; P += Unit)
+        storeUnit(P, W);
+    Ip = End;
   }
 
   /// Checks up front that \p N units fit, so a multi-unit synthesis

@@ -56,10 +56,12 @@
 #include "support/Telemetry.h"
 #include <atomic>
 #include <condition_variable>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -122,13 +124,14 @@ private:
   enum class State : uint8_t { Generating, Ready, Failed };
 
   struct Entry {
-    explicit Entry(CodeCache &C, std::string K)
-        : Owner(C), Key(std::move(K)) {}
+    Entry(CodeCache &C, std::string K, size_t Hash)
+        : Owner(C), Key(std::move(K)), Hash(Hash) {}
     Entry(const Entry &) = delete;
     Entry &operator=(const Entry &) = delete;
 
     CodeCache &Owner;
     const std::string Key;
+    const size_t Hash; ///< std::hash of Key
 
     std::mutex M;              ///< guards St/Err/Cur + CV below
     std::condition_variable CV;
@@ -138,7 +141,7 @@ private:
     /// Current code version; set once when St becomes Ready, then only
     /// replaced (never cleared) by promote() under M.
     std::shared_ptr<const Version> Cur;
-    std::atomic<uint64_t> LastUse{0};
+    std::list<Entry *>::iterator LruPos; ///< in Shard::Lru (shard lock)
     std::atomic<uint64_t> ExecCount{0}; ///< dispatches via Handle
     std::atomic<bool> Promoting{false}; ///< exactly-once promote gate
   };
@@ -212,17 +215,23 @@ public:
     std::shared_ptr<Entry> E;
   };
 
-  /// Per-generation region allocator handed to the generator callback:
-  /// plugs into generateWithRetry's Alloc slot. Each call reclaims the
-  /// previous (failed) attempt's region into the cache pool and serves a
-  /// fresh one, pool-first. The final region is handed over to the cache
-  /// entry on success (or reclaimed on failure) by lookupOrGenerate.
+  /// Per-generation region allocator handed to the generator callback;
+  /// pass it to generateWithRetry as [&](size_t N) { return Alloc(N); }
+  /// (a copy would track regions the cache never sees). Each call
+  /// reclaims the previous (failed) attempt's region and serves a fresh
+  /// one, pool-first, named with the entry's key so v_end publishes it to
+  /// the CodeMap under its final name. lookupOrGenerate hands the final
+  /// region to the entry on success (or reclaims it on failure).
   class RegionAlloc {
   public:
+    RegionAlloc(const RegionAlloc &) = delete;
+    RegionAlloc &operator=(const RegionAlloc &) = delete;
+
     CodeMem operator()(size_t Bytes) {
       if (CurBytes)
         C.reclaimRegion(CurAddr, CurBytes);
       CodeMem M = C.allocRegion(Bytes);
+      M.Name = &Key;
       CurAddr = M.Guest;
       CurBytes = M.Size;
       return M;
@@ -230,8 +239,9 @@ public:
 
   private:
     friend class CodeCache;
-    explicit RegionAlloc(CodeCache &C) : C(C) {}
+    RegionAlloc(CodeCache &C, const std::string &Key) : C(C), Key(Key) {}
     CodeCache &C;
+    const std::string &Key;
     SimAddr CurAddr = 0;
     size_t CurBytes = 0;
   };
@@ -243,7 +253,7 @@ public:
   CodeCache &operator=(const CodeCache &) = delete;
 
   /// Looks up \p Key; on a miss, runs \p Gen — a callable
-  /// `GenerateResult Gen(CodeCache::RegionAlloc &)` that typically wraps
+  /// `GenerateResult Gen(CodeCache::RegionAlloc &)` that typically runs
   /// generateWithRetry with the RegionAlloc as its allocator — exactly
   /// once per key, while concurrent same-key callers block until the
   /// result is published. A failed generation is reported through the
@@ -251,22 +261,23 @@ public:
   /// is removed, so a later caller may retry.
   template <typename GenFn>
   Handle lookupOrGenerate(const std::string &Key, GenFn Gen) {
-    Shard &S = shardFor(Key);
+    KeyRef K{};
+    Shard &S = shardFor(Key, K);
     std::shared_ptr<Entry> E;
     bool Creator = false;
     {
       std::lock_guard<std::mutex> Lock(S.M);
-      auto It = S.Map.find(Key);
+      auto It = S.Map.find(K);
       if (It != S.Map.end()) {
         E = It->second;
+        S.Lru.splice(S.Lru.begin(), S.Lru, E->LruPos);
       } else {
-        E = std::make_shared<Entry>(*this, Key);
-        S.Map.emplace(Key, E);
+        E = std::make_shared<Entry>(*this, Key, K.H);
+        S.Map.emplace(KeyRef{E->Key, K.H}, E);
+        E->LruPos = S.Lru.insert(S.Lru.begin(), E.get());
         Creator = true;
       }
     }
-    E->LastUse.store(Tick.fetch_add(1, std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
 
     if (!Creator) {
       // Hit, possibly on an entry still generating: block-and-reuse.
@@ -277,14 +288,14 @@ public:
     }
 
     CtMisses.inc();
-    RegionAlloc RA(*this);
+    RegionAlloc RA(*this, E->Key);
     VCODE_TM_TICK(TmGenStart);
     GenerateResult R = Gen(RA);
     VCODE_TM_SPAN("cache.generate", TmGenStart);
     if (R.ok()) {
       {
         std::lock_guard<std::mutex> Lock(E->M);
-        E->Cur = makeVersion(R, RA, E->Key);
+        E->Cur = makeVersion(R, RA);
         E->St = State::Ready;
       }
       E->CV.notify_all();
@@ -306,9 +317,11 @@ public:
     CtFailures.inc();
     {
       std::lock_guard<std::mutex> Lock(S.M);
-      auto It = S.Map.find(Key);
-      if (It != S.Map.end() && It->second == E)
+      auto It = S.Map.find(K);
+      if (It != S.Map.end() && It->second == E) {
+        S.Lru.erase(E->LruPos);
         S.Map.erase(It);
+      }
     }
     return Handle(std::move(E));
   }
@@ -323,11 +336,12 @@ public:
   /// when this call performed the swap.
   template <typename GenFn>
   bool promote(const std::string &Key, GenFn Gen) {
-    Shard &S = shardFor(Key);
+    KeyRef K{};
+    Shard &S = shardFor(Key, K);
     std::shared_ptr<Entry> E;
     {
       std::lock_guard<std::mutex> Lock(S.M);
-      auto It = S.Map.find(Key);
+      auto It = S.Map.find(K);
       if (It == S.Map.end())
         return false;
       E = It->second;
@@ -339,7 +353,7 @@ public:
     }
     if (E->Promoting.exchange(true, std::memory_order_acq_rel))
       return false; // someone else is (or already has) promoted
-    RegionAlloc RA(*this);
+    RegionAlloc RA(*this, E->Key);
     VCODE_TM_TICK(TmPromoteStart);
     GenerateResult R = Gen(RA);
     VCODE_TM_SPAN("cache.promote", TmPromoteStart);
@@ -354,7 +368,7 @@ public:
     {
       std::lock_guard<std::mutex> Lock(E->M);
       Old = std::move(E->Cur);
-      E->Cur = makeVersion(R, RA, E->Key);
+      E->Cur = makeVersion(R, RA);
     }
     // Old's region is reclaimed when the last pinned dispatcher drops it
     // (possibly right here, when nobody was mid-call).
@@ -367,9 +381,10 @@ public:
   /// on a miss and also while the key is still generating (a probe never
   /// blocks). Does not count as a hit or miss.
   Handle lookup(const std::string &Key) {
-    Shard &S = shardFor(Key);
+    KeyRef K{};
+    Shard &S = shardFor(Key, K);
     std::lock_guard<std::mutex> Lock(S.M);
-    auto It = S.Map.find(Key);
+    auto It = S.Map.find(K);
     if (It == S.Map.end())
       return Handle();
     std::lock_guard<std::mutex> ELock(It->second->M);
@@ -390,10 +405,8 @@ public:
     S.Promotions = CtPromotions.value();
     S.PromoteFailures = CtPromoteFailures.value();
     std::lock_guard<std::mutex> Lock(PoolMutex);
-    for (const auto &[Bytes, Addr] : FreePool) {
-      (void)Addr;
-      S.PooledBytes += Bytes;
-    }
+    for (const auto &KV : FreePool)
+      S.PooledBytes += KV.first;
     return S;
   }
 
@@ -412,29 +425,37 @@ public:
   sim::Memory &memory() { return Mem; }
 
 private:
-  struct Shard {
-    mutable std::mutex M;
-    std::unordered_map<std::string, std::shared_ptr<Entry>> Map;
+  /// A key view and its hash, computed once per call for both shard and
+  /// bucket. Map keys view the entry's own Key: one copy per entry.
+  struct KeyRef {
+    std::string_view S;
+    size_t H;
+    bool operator==(const KeyRef &O) const { return H == O.H && S == O.S; }
+  };
+  struct KeyRefHash {
+    size_t operator()(const KeyRef &K) const { return K.H; }
   };
 
-  Shard &shardFor(const std::string &Key) {
-    size_t H = std::hash<std::string>{}(Key);
-    return ShardVec[H % ShardVec.size()];
+  struct Shard {
+    mutable std::mutex M;
+    std::unordered_map<KeyRef, std::shared_ptr<Entry>, KeyRefHash> Map;
+    std::list<Entry *> Lru; ///< Map's entries, most recently used first
+  };
+
+  Shard &shardFor(const std::string &Key, KeyRef &K) {
+    K = {Key, std::hash<std::string>{}(Key)};
+    return ShardVec[K.H % ShardVec.size()];
   }
 
   /// Wraps a successful generation's region into a refcounted Version,
   /// taking ownership from the RegionAlloc.
   std::shared_ptr<const Version> makeVersion(const GenerateResult &R,
-                                             RegionAlloc &RA,
-                                             const std::string &Key) {
+                                             const RegionAlloc &RA) {
     auto V = std::make_shared<Version>(*this);
     V->Code = R.Code;
     V->RegionAddr = RA.CurAddr;
     V->RegionBytes = RA.CurBytes;
     V->GenTier = R.GenTier;
-    // v_end published this region under a synthetic name; rename it to
-    // the cache key and record the tier actually generated.
-    profile::CodeMap::instance().annotate(RA.CurAddr, Key, R.GenTier);
     return V;
   }
 
@@ -475,26 +496,21 @@ private:
   }
 
   /// Evicts least-recently-used Ready entries from \p S until it is back
-  /// under capacity. Entries still generating are never evicted; evicted
-  /// entries live on through any outstanding Handles.
+  /// under capacity, walking the recency list from its cold end. Entries
+  /// still generating are skipped, never evicted; evicted entries live on
+  /// through any outstanding Handles.
   void evictIfNeeded(Shard &S) {
     std::lock_guard<std::mutex> Lock(S.M);
-    while (S.Map.size() > Opts.MaxEntriesPerShard) {
-      auto Victim = S.Map.end();
-      uint64_t Oldest = ~uint64_t(0);
-      for (auto It = S.Map.begin(); It != S.Map.end(); ++It) {
-        std::lock_guard<std::mutex> ELock(It->second->M);
-        if (It->second->St != State::Ready)
+    auto It = S.Lru.end();
+    while (S.Map.size() > Opts.MaxEntriesPerShard && It != S.Lru.begin()) {
+      Entry *E = *--It;
+      {
+        std::lock_guard<std::mutex> ELock(E->M);
+        if (E->St != State::Ready)
           continue;
-        uint64_t Use = It->second->LastUse.load(std::memory_order_relaxed);
-        if (Use < Oldest) {
-          Oldest = Use;
-          Victim = It;
-        }
       }
-      if (Victim == S.Map.end())
-        return; // everything is mid-generation; nothing evictable
-      S.Map.erase(Victim);
+      It = S.Lru.erase(It);
+      S.Map.erase(S.Map.find(KeyRef{E->Key, E->Hash})); // may destroy *E
       CtEvictions.inc();
     }
   }
@@ -508,8 +524,6 @@ private:
   std::multimap<size_t, SimAddr> FreePool; ///< size -> region base
 
   std::vector<Shard> ShardVec;
-
-  std::atomic<uint64_t> Tick{0};
 
   // Instance-owned telemetry counters: lock-free sharded increments, exact
   // per-cache values via value()/stats(), and automatic aggregation into

@@ -7,6 +7,7 @@
 #include "core/RegAlloc.h"
 #include "support/Error.h"
 #include "support/Telemetry.h"
+#include <algorithm>
 #include <cassert>
 
 using namespace vcode;
@@ -26,12 +27,13 @@ void RegAlloc::init(const TargetInfo &TI) {
     Int[I] = Fp[I] = Entry();
   UsedCalleeInt = UsedCalleeFp = 0;
 
-  IntOrder.clear();
-  FpOrder.clear();
+  IntOrder.N = FpOrder.N = 0;
   auto Add = [this](const std::vector<Reg> &Regs, RegKind K) {
     for (Reg R : Regs) {
       entry(R) = Entry{K, /*Free=*/true};
-      (R.isInt() ? IntOrder : FpOrder).push_back(R);
+      Order &O = R.isInt() ? IntOrder : FpOrder;
+      assert(O.N < MaxRegs && "more allocation candidates than registers");
+      O.Regs[O.N++] = R;
     }
   };
   // Default priority: caller-saved scratch first (cheap), then the
@@ -43,8 +45,12 @@ void RegAlloc::init(const TargetInfo &TI) {
 }
 
 void RegAlloc::setPriorityOrder(Reg::KindType Kind,
-                                const std::vector<Reg> &Order) {
-  std::vector<Reg> &Dst = Kind == Reg::Int ? IntOrder : FpOrder;
+                                const std::vector<Reg> &NewOrder) {
+  if (NewOrder.size() > MaxRegs)
+    fatalKind(CgErrKind::BadOperand,
+              "priority order lists %zu registers; at most %u allowed",
+              NewOrder.size(), MaxRegs);
+  Order &Dst = Kind == Reg::Int ? IntOrder : FpOrder;
   // Reordering must not change which registers are currently allocated:
   // a register handed out before the reorder stays allocated, and one
   // free before it stays free. Snapshot liveness before rewriting.
@@ -55,7 +61,8 @@ void RegAlloc::setPriorityOrder(Reg::KindType Kind,
   // is retained so hard-coded uses still save correctly.
   for (Reg R : Dst)
     entry(R).Free = false;
-  Dst = Order;
+  Dst.N = unsigned(NewOrder.size());
+  std::copy(NewOrder.begin(), NewOrder.end(), Dst.Regs);
   for (Reg R : Dst)
     entry(R).Free = !Live[R.Num];
 }
@@ -77,8 +84,7 @@ void RegAlloc::allCalleeSaved() {
 }
 
 Reg RegAlloc::scan(Reg::KindType Kind, RegKind Want) {
-  const std::vector<Reg> &Order = Kind == Reg::Int ? IntOrder : FpOrder;
-  for (Reg R : Order) {
+  for (Reg R : Kind == Reg::Int ? IntOrder : FpOrder) {
     Entry &E = entry(R);
     if (E.Free && E.Kind == Want) {
       E.Free = false;

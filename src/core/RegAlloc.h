@@ -26,7 +26,9 @@
 
 namespace vcode {
 
-/// Per-function register allocation state.
+/// Per-function register allocation state. Trivially copyable (fixed
+/// storage, no heap): v_lambda resets it by copying the target's
+/// precomputed image (Target::regAllocImage) rather than rebuilding it.
 class RegAlloc {
 public:
   /// Resets all state from the target description: classes, priority
@@ -35,8 +37,10 @@ public:
 
   /// Replaces the allocation priority ordering for one register kind
   /// (paper: "the client declares an allocation priority ordering for all
-  /// register candidates"). Registers not listed become unavailable.
-  void setPriorityOrder(Reg::KindType Kind, const std::vector<Reg> &Order);
+  /// register candidates"). Registers not listed become unavailable. At
+  /// most 64 registers may be listed.
+  void setPriorityOrder(Reg::KindType Kind,
+                        const std::vector<Reg> &NewOrder);
 
   /// Dynamically reclassifies one physical register (paper §5.3).
   void setKind(Reg R, RegKind K);
@@ -84,10 +88,19 @@ private:
   Reg scan(Reg::KindType Kind, RegKind Want);
 
   static constexpr unsigned MaxRegs = 64;
+
+  /// An allocation priority ordering in fixed storage.
+  struct Order {
+    Reg Regs[MaxRegs];
+    unsigned N = 0;
+    const Reg *begin() const { return Regs; }
+    const Reg *end() const { return Regs + N; }
+  };
+
   Entry Int[MaxRegs];
   Entry Fp[MaxRegs];
-  std::vector<Reg> IntOrder;
-  std::vector<Reg> FpOrder;
+  Order IntOrder;
+  Order FpOrder;
   uint32_t UsedCalleeInt = 0;
   uint32_t UsedCalleeFp = 0;
 };

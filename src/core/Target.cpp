@@ -5,12 +5,24 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Target.h"
+#include "core/RegAlloc.h"
 #include <cstdio>
 
 using namespace vcode;
 
+Target::Target() { ExtFns.reserve(MaxExtensions); }
+
 // Virtual method anchor.
 Target::~Target() = default;
+
+const RegAlloc &Target::regAllocImage() const {
+  std::call_once(RegImageOnce, [this] {
+    auto RA = std::make_unique<RegAlloc>();
+    RA->init(info());
+    RegImage = std::move(RA);
+  });
+  return *RegImage;
+}
 
 std::string Target::disassemble(uint32_t Word, SimAddr Pc) const {
   (void)Pc;

@@ -26,12 +26,14 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 namespace vcode {
 
+class RegAlloc;
 class VCode;
 
 /// Static description of a target machine.
@@ -258,10 +260,18 @@ public:
   /// without taking ExtMutex while another thread registers.
   static constexpr uint32_t MaxExtensions = 4096;
 
+  /// The register allocator's initial state for info(): built once, on
+  /// first use (thread-safe), then copied by every v_lambda instead of
+  /// being rebuilt from the register lists per function.
+  const RegAlloc &regAllocImage() const;
+
 protected:
-  Target() { ExtFns.reserve(MaxExtensions); }
+  Target();
 
 private:
+  mutable std::once_flag RegImageOnce;
+  mutable std::unique_ptr<const RegAlloc> RegImage;
+
   /// Flat interned registry: bodies and names indexed by ExtId::Idx. The
   /// string map is consulted only at define/find time, never at emission.
   /// ExtMutex guards all mutation plus the string map; readers of ExtFns

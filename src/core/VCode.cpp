@@ -12,10 +12,8 @@
 
 using namespace vcode;
 
-VCode::VCode(Target &Tgt) : T(Tgt), TI(Tgt.info()) {
-  CurCC = TI.DefaultCC;
-  RA.init(TI);
-}
+VCode::VCode(Target &Tgt)
+    : T(Tgt), TI(Tgt.info()), RA(Tgt.regAllocImage()), CurCC(TI.DefaultCC) {}
 
 VCode::~VCode() {
   // Never leave a dangling handler pointing at a destroyed object.
@@ -107,8 +105,9 @@ void VCode::resetFunctionState() {
   ConstPoolIndex.clear();
   CallLocs.clear();
   CallNextArg = 0;
-  // FnName is per-function; PubTier deliberately persists (the retry
-  // driver stamps it once, before Emit() runs lambda()).
+  // FnName is per-function (lambda() takes the region's name);
+  // PubTier deliberately persists (the retry driver stamps it once,
+  // before Emit() runs lambda()).
   FnName.clear();
 }
 
@@ -121,12 +120,14 @@ void VCode::lambda(const char *ArgTypeStr, Reg *ArgRegs, bool IsLeaf,
   InFunction = true;
   LeafFlag = IsLeaf;
   Buf.reset(Mem, TI.CodeUnitBytes);
+  if (Mem.Name)
+    FnName = *Mem.Name;
   MemArena = Mem.Arena;
   MemGuest = Mem.Guest;
   MemSize = Mem.Size;
   if (MemArena)
     MemArena->beginWrite(MemGuest, MemSize);
-  RA.init(TI);
+  RA = T.regAllocImage();
   EpiLabel = genLabel();
 
   std::vector<Type> ArgTypes = parseTypeString(ArgTypeStr);
@@ -176,10 +177,12 @@ CodePtr VCode::endImpl() {
     fatal("v_end without v_lambda");
 
   // Phase boundary: everything from v_lambda to here was client-driven
-  // emission; everything below is finishing (prologue/epilogue patching,
-  // constant pool, label resolution and backpatch). One tick serves as
-  // both the emit end and the backpatch start — aggregated per function,
-  // never per instruction, so the hot put() path stays untouched.
+  // emission; everything below is finishing — "core.fixup" (prologue and
+  // epilogue patching, constant pool, label resolution and backpatch),
+  // then "core.publish" (W^X flip and CodeMap registration). One tick
+  // serves as both the emit end and the fixup start — aggregated per
+  // function, never per instruction, so the hot put() path stays
+  // untouched.
   VCODE_TM_TICK(TmFinishStart);
   VCODE_TM_SPAN_AT("core.emit", TmEmitStart, TmFinishStart);
 
@@ -223,6 +226,8 @@ CodePtr VCode::endImpl() {
 
   InFunction = false;
   Entry.SizeBytes = Buf.usedBytes();
+  VCODE_TM_TICK(TmPublishStart);
+  VCODE_TM_SPAN_AT("core.fixup", TmFinishStart, TmPublishStart);
 
   // The bytes are final: flip the region executable and flush icaches.
   // Unreached on a poisoned function (recovery unwinds above), so
@@ -231,13 +236,13 @@ CodePtr VCode::endImpl() {
     MemArena->publish(MemGuest, Entry.SizeBytes);
 
   // Register the finished region with the process-wide CodeMap (no-op
-  // when telemetry is compiled out). Callers with a better name/tier
-  // (CodeCache keys, DBT guest ranges) annotate the entry afterwards.
+  // when telemetry is compiled out), under its final name and tier; only
+  // DBT guest ranges are attached afterwards.
   profile::CodeMap::instance().publish(
       Buf.baseAddr(), Entry.SizeBytes, Entry.Entry,
       uintptr_t(Buf.hostBase()), std::move(FnName), TI.Name, PubTier);
 
-  VCODE_TM_SPAN("core.backpatch", TmFinishStart);
+  VCODE_TM_SPAN("core.publish", TmPublishStart);
   VCODE_TM_COUNT("core.functions", 1);
   // Emitted words: body instructions plus constant-pool words.
   VCODE_TM_COUNT("core.instrs_emitted", Buf.wordIndex());

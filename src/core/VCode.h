@@ -107,9 +107,9 @@ public:
   CodePtr end();
 
   /// Names the function being generated for introspection (the CodeMap
-  /// entry end() publishes, --dump-code, profiler reports). Cleared by
-  /// lambda(); callers that know a better name (cache key, guest PC) can
-  /// set it any time before end().
+  /// entry end() publishes, --dump-code, profiler reports). lambda()
+  /// resets it to the region's CodeMem::Name (empty when none, and end()
+  /// synthesizes one); callers can override it any time before end().
   void setFunctionName(std::string Name) { FnName = std::move(Name); }
   const std::string &functionName() const { return FnName; }
 

@@ -69,8 +69,8 @@ CodeCache::Handle TranslationEngine::translate(SimAddr PC, uint64_t Gen) {
     GO.InitialBytes = 512 + 96 * size_t(R.TotalWords) + 64 * R.Blocks.size();
     GO.MaxBytes = size_t(1) << 22;
     GenerateResult GR = generateWithRetry(
-        V, RA, [&](CodeMem CM) { return translateRegion(V, R, CM, Guest); },
-        GO);
+        V, [&](size_t N) { return RA(N); },
+        [&](CodeMem CM) { return translateRegion(V, R, CM, Guest); }, GO);
     VCODE_TM_SPAN("dbt.translate", T0);
     if (GR.Code.isValid()) {
       // Record the guest-PC span the region translates so profiler samples

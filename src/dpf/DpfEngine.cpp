@@ -343,9 +343,9 @@ std::string DpfEngine::sharedCacheKey(const Target &T, Dispatch D,
                                               "hash", "table"};
   // Deliberately tier-independent: promotion swaps code versions under
   // this same key rather than caching tiers side by side.
-  std::string Key;
-  Key.reserve(64);
-  Key += "dpf|";
+  // The prefix fits the small-string buffer, so appending the filter
+  // set's key allocates once.
+  std::string Key = "dpf|";
   Key += T.info().Name;
   Key += '|';
   Key += DispatchNames[size_t(D)];

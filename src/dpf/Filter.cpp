@@ -6,6 +6,7 @@
 
 #include "dpf/Filter.h"
 #include "support/Error.h"
+#include <algorithm>
 
 using namespace vcode;
 using namespace vcode::dpf;
@@ -32,73 +33,53 @@ std::vector<Filter> vcode::dpf::makeTcpIpFilters(unsigned N,
 
 namespace {
 
-// The canonical key is rebuilt per installShared call, which makes it a
-// hot path under churn: avoid snprintf (locale machinery, per-call format
-// parsing) and grow the string once — appendFilterSetKey measures the
-// exact byte count up front, so the loop below never reallocates.
+// The canonical key is rebuilt per installShared call, hits included, so
+// it is a hot path under churn; it is also hashed, compared and stored
+// per install, so its length matters as much as its formatting. Every
+// field is written fixed-width in base 64 — a shift, mask and add per
+// character, no division, and the length is plain arithmetic on atom
+// counts — over the printable characters '?'..'~', which keeps the key
+// short, injective without field separators (';' ends a filter and is
+// not a digit) and printable on one line (it names the CodeMap entry and
+// the perf-map symbol).
 
-char *putDec(char *P, uint32_t V) {
-  char Tmp[10];
-  unsigned N = 0;
-  do {
-    Tmp[N++] = char('0' + V % 10);
-    V /= 10;
-  } while (V);
-  while (N)
-    *P++ = Tmp[--N];
-  return P;
+/// Writes \p V as \p Digits base-64 digits, most significant first.
+template <unsigned Digits> char *putDigits(char *P, uint32_t V) {
+  for (unsigned I = Digits; I-- > 0; V >>= 6)
+    P[I] = char('?' + (V & 63));
+  return P + Digits;
 }
 
-unsigned decDigits(uint32_t V) {
-  unsigned N = 1;
-  while (V >= 10) {
-    V /= 10;
-    ++N;
-  }
-  return N;
+/// First edge of \p Edges (sorted by value) whose value is not below \p V.
+template <typename EdgeVec> auto findEdge(EdgeVec &Edges, uint32_t V) {
+  return std::lower_bound(
+      Edges.begin(), Edges.end(), V,
+      [](const std::pair<uint32_t, int> &E, uint32_t X) { return E.first < X; });
 }
 
-char *putHex8(char *P, uint32_t V) {
-  static const char Digits[] = "0123456789abcdef";
-  for (int Shift = 28; Shift >= 0; Shift -= 4)
-    *P++ = Digits[(V >> Shift) & 0xf];
-  return P;
-}
+/// Key bytes per filter (32-bit id, then ';') and per atom (32-bit
+/// offset, 8-bit size, 32-bit mask and value).
+constexpr size_t FilterKeyBytes = 6 + 1, AtomKeyBytes = 6 + 2 + 6 + 6;
 
 } // namespace
 
 void vcode::dpf::appendFilterSetKey(std::string &Key,
                                     const std::vector<Filter> &Filters) {
-  // Exact length: "f<id>:" + per-atom "(<off>,<size>,<hex8>,<hex8>)" + ';'.
+  // Per filter: "<id><atom>...;" with the id as 32-bit two's complement
+  // and each atom as <offset><size><mask><value>.
   size_t Len = 0;
-  for (const Filter &F : Filters) {
-    Len += 1 + decDigits(uint32_t(F.Id < 0 ? -F.Id : F.Id)) +
-           (F.Id < 0 ? 1 : 0) + 1 + 1; // "f", sign, id, ':', ';'
-    for (const Atom &A : F.Atoms)
-      Len += 2 + decDigits(A.Offset) + 1 + decDigits(A.Size) + 1 + 8 + 1 + 8;
-  }
+  for (const Filter &F : Filters)
+    Len += FilterKeyBytes + AtomKeyBytes * F.Atoms.size();
   size_t Base = Key.size();
   Key.resize(Base + Len);
   char *P = Key.data() + Base;
   for (const Filter &F : Filters) {
-    *P++ = 'f';
-    if (F.Id < 0) {
-      *P++ = '-';
-      P = putDec(P, uint32_t(-F.Id));
-    } else {
-      P = putDec(P, uint32_t(F.Id));
-    }
-    *P++ = ':';
+    P = putDigits<6>(P, uint32_t(F.Id));
     for (const Atom &A : F.Atoms) {
-      *P++ = '(';
-      P = putDec(P, A.Offset);
-      *P++ = ',';
-      P = putDec(P, A.Size);
-      *P++ = ',';
-      P = putHex8(P, A.Mask);
-      *P++ = ',';
-      P = putHex8(P, A.Value);
-      *P++ = ')';
+      P = putDigits<6>(P, A.Offset);
+      P = putDigits<2>(P, A.Size);
+      P = putDigits<6>(P, A.Mask);
+      P = putDigits<6>(P, A.Value);
     }
     *P++ = ';';
   }
@@ -124,6 +105,12 @@ void vcode::dpf::writeTcpPacket(sim::Memory &M, SimAddr At, uint16_t DstPort,
 
 Trie Trie::build(const std::vector<Filter> &Filters) {
   Trie T;
+  // Every atom adds at most one node: reserve once instead of moving the
+  // nodes' edge maps on each reallocation.
+  size_t MaxNodes = 1;
+  for (const Filter &F : Filters)
+    MaxNodes += F.Atoms.size();
+  T.Nodes.reserve(MaxNodes);
   T.Nodes.emplace_back(); // root
   for (const Filter &F : Filters) {
     int Cur = 0;
@@ -140,12 +127,13 @@ Trie Trie::build(const std::vector<Filter> &Filters) {
               "vs %u); out-of-order atom lists are not supported",
               N.Offset, A.Offset);
       }
-      auto It = T.Nodes[Cur].Edges.find(A.Value);
-      if (It != T.Nodes[Cur].Edges.end()) {
+      auto &Edges = T.Nodes[Cur].Edges;
+      auto It = findEdge(Edges, A.Value);
+      if (It != Edges.end() && It->first == A.Value) {
         Cur = It->second;
       } else {
         int Next = int(T.Nodes.size());
-        T.Nodes[Cur].Edges.emplace(A.Value, Next);
+        Edges.insert(It, {A.Value, Next});
         T.Nodes.emplace_back();
         Cur = Next;
       }
@@ -183,8 +171,8 @@ int Trie::classify(const sim::Memory &M, SimAddr Msg) const {
       break;
     }
     V &= N.Mask;
-    auto It = N.Edges.find(V);
-    if (It == N.Edges.end())
+    auto It = findEdge(N.Edges, V);
+    if (It == N.Edges.end() || It->first != V)
       return -1; // dispatch miss rejects even at an interior accept state
     Cur = It->second;
   }

@@ -20,8 +20,8 @@
 
 #include "sim/Memory.h"
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vcode {
@@ -52,9 +52,10 @@ struct Filter {
 /// atom's offset/size/mask/value and the accepting id).
 std::string filterSetKey(const std::vector<Filter> &Filters);
 
-/// Appends the canonical key to \p Key (single upfront reserve, no
-/// per-atom formatting calls) — the install hot path builds
-/// "<prefix>|<key>" in one buffer per installShared under churn.
+/// Appends the canonical key to \p Key: fixed-width base-64 fields over
+/// the printable characters '?'..'~', sized once up front and written
+/// without division — the install hot path builds "<prefix>|<key>" in one
+/// buffer per installShared under churn.
 void appendFilterSetKey(std::string &Key, const std::vector<Filter> &Filters);
 
 /// Header layout of the simplified IP/TCP packets used by the workload
@@ -89,8 +90,9 @@ struct Trie {
     uint32_t Offset = 0;
     uint8_t Size = 4;
     uint32_t Mask = 0xffffffff;
-    /// Outgoing edges: field value -> child node index.
-    std::map<uint32_t, int> Edges;
+    /// Outgoing edges (field value, child node index), sorted by value:
+    /// one flat allocation per node rather than one per edge.
+    std::vector<std::pair<uint32_t, int>> Edges;
     /// Filter accepted when a message reaches this state, -1 otherwise.
     int AcceptId = -1;
   };

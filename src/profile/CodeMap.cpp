@@ -24,9 +24,6 @@ namespace {
 
 /// Distinct retired names kept before aggregating under "<retired>".
 constexpr size_t kMaxRetired = 4096;
-/// Mutations between snapshot rebuilds (amortizes the O(n) copy; while
-/// the snapshot is behind, lookups take the locked slow path instead).
-constexpr uint64_t kRebuildEvery = 32;
 
 /// "fn@<hex addr>" without the snprintf detour: publish() is on the
 /// v_end path of every generated function, so the synthesized-name case
@@ -61,12 +58,11 @@ struct CodeMap::Impl {
   std::map<uint64_t, std::shared_ptr<CodeEntry>> Live;
   /// Published read view; replaced wholesale, never mutated in place.
   std::atomic<std::shared_ptr<const Snap>> Reader;
-  /// Mutations since the last snapshot rebuild (relaxed; readers use it
-  /// only to decide whether the slow path could help).
-  std::atomic<uint64_t> Dirty{0};
+  /// True while Live has mutations the snapshot does not reflect.
+  std::atomic<bool> Dirty{false};
   std::atomic<uint64_t> GenSeq{0};
 
-  uint64_t Published = 0, Removed = 0, Renames = 0;
+  uint64_t Published = 0, Removed = 0;
   /// Heat folded out of removed entries, by name.
   std::unordered_map<std::string, uint64_t> Retired;
   uint64_t RetiredOther = 0;
@@ -87,15 +83,14 @@ struct CodeMap::Impl {
               });
     Reader.store(std::shared_ptr<const Snap>(std::move(S)),
                  std::memory_order_release);
-    Dirty.store(0, std::memory_order_relaxed);
+    // Cleared after the store: a reader that sees false loads this
+    // snapshot or a later one.
+    Dirty.store(false, std::memory_order_release);
   }
 
-  /// Counts a mutation and rebuilds the snapshot on the amortization
-  /// boundary. Caller holds M.
-  void noteMutationLocked() {
-    if (Dirty.fetch_add(1, std::memory_order_relaxed) + 1 >= kRebuildEvery)
-      rebuildLocked();
-  }
+  /// Records a mutation. The snapshot is rebuilt on demand (lookupHost),
+  /// never here: the publish/remove path stays O(log n). Caller holds M.
+  void noteMutationLocked() { Dirty.store(true, std::memory_order_relaxed); }
 
   /// Folds a dying entry's heat into the retired tally. Caller holds M.
   void retireLocked(const CodeEntry &E) {
@@ -203,22 +198,6 @@ uint64_t CodeMap::publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
   return E->Generation;
 }
 
-bool CodeMap::annotate(uint64_t Addr, const std::string &Name, Tier T) {
-  std::lock_guard<std::mutex> L(I->M);
-  auto It = I->Live.find(Addr);
-  if (It == I->Live.end())
-    return false;
-  // Copy-on-write: concurrent readers hold the old entry; a string they
-  // might be reading is never mutated underneath them.
-  auto E = std::make_shared<CodeEntry>(*It->second);
-  E->Name = Name;
-  E->GenTier = T;
-  It->second = std::move(E);
-  ++I->Renames;
-  I->noteMutationLocked();
-  return true;
-}
-
 bool CodeMap::setGuestRange(uint64_t AnyAddrInRegion, uint64_t Lo,
                             uint64_t Hi) {
   std::lock_guard<std::mutex> L(I->M);
@@ -248,19 +227,15 @@ void CodeMap::remove(uint64_t Addr) {
 }
 
 std::shared_ptr<const CodeEntry> CodeMap::lookup(uint64_t Pc) const {
-  {
-    auto S = I->Reader.load(std::memory_order_acquire);
-    // The snapshot answers only when it is current: a stale *hit* would
-    // attribute to an entry already removed or renamed, not just miss.
-    if (!I->Dirty.load(std::memory_order_relaxed))
-      return Impl::searchAddr(*S, Pc);
-  }
+  // The snapshot answers only when it is current: a stale *hit* would
+  // attribute to an entry already removed or replaced, not just miss.
+  if (!I->Dirty.load(std::memory_order_acquire))
+    return Impl::searchAddr(*I->Reader.load(std::memory_order_acquire), Pc);
   // Answer from the truth map without rebuilding: this is the virtual
   // sampler's path, and continuous churn keeps the snapshot perpetually
   // dirty — an O(n) rebuild per sample inside the lock would convoy the
   // dispatch threads behind the installers. O(log n) and allocation-free
-  // keeps the critical section negligible; rebuilds stay amortized on
-  // the mutation boundary.
+  // keeps the critical section negligible.
   std::lock_guard<std::mutex> L(I->M);
   auto It = I->Live.upper_bound(Pc);
   if (It == I->Live.begin())
@@ -270,16 +245,14 @@ std::shared_ptr<const CodeEntry> CodeMap::lookup(uint64_t Pc) const {
 }
 
 std::shared_ptr<const CodeEntry> CodeMap::lookupHost(uintptr_t Pc) const {
-  {
-    auto S = I->Reader.load(std::memory_order_acquire);
-    if (!I->Dirty.load(std::memory_order_relaxed))
-      return Impl::searchHost(*S, Pc);
-  }
+  if (!I->Dirty.load(std::memory_order_acquire))
+    return Impl::searchHost(*I->Reader.load(std::memory_order_acquire), Pc);
   // Host lookups come from the native ring drain (stop/report time), not
   // a hot loop, and Live is not indexed by host address — rebuilding here
   // restores the indexed fast path for the rest of the batch.
   std::lock_guard<std::mutex> L(I->M);
-  I->rebuildLocked();
+  if (I->Dirty.load(std::memory_order_relaxed))
+    I->rebuildLocked();
   auto S2 = I->Reader.load(std::memory_order_acquire);
   return Impl::searchHost(*S2, Pc);
 }
@@ -308,7 +281,6 @@ CodeMap::Stats CodeMap::stats() const {
   S.Published = I->Published;
   S.Removed = I->Removed;
   S.Live = I->Live.size();
-  S.Renames = I->Renames;
   return S;
 }
 
@@ -330,11 +302,9 @@ void CodeMap::appendReport(std::string &Out) const {
   auto Retired = retiredHeat();
 
   Out += "codemap:\n";
-  Out += fmtLine("  regions: %llu live, %llu published, %llu retired, "
-                 "%llu renamed\n",
+  Out += fmtLine("  regions: %llu live, %llu published, %llu retired\n",
                  (unsigned long long)S.Live, (unsigned long long)S.Published,
-                 (unsigned long long)S.Removed,
-                 (unsigned long long)S.Renames);
+                 (unsigned long long)S.Removed);
   uint64_t TotalBytes = 0, TotalSamples = 0;
   for (auto &E : Es) {
     TotalBytes += E->Bytes;
@@ -384,7 +354,7 @@ void CodeMap::resetForTest() {
   I->Live.clear();
   I->Retired.clear();
   I->RetiredOther = 0;
-  I->Published = I->Removed = I->Renames = 0;
+  I->Published = I->Removed = 0;
   I->rebuildLocked();
 }
 

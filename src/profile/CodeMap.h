@@ -8,20 +8,22 @@
 /// The CodeMap is the process-wide answer to "what generated code is live
 /// right now, and where?". Every published code region — a v_end on any
 /// target, a CodeCache insert or promotion, a DBT translation — registers
-/// here with its name (the cache key when there is one), target, tier,
-/// size, and for translations the guest-PC range it was lifted from. The
-/// sampling profiler (profile/Profiler.h) attributes PCs through it, the
-/// perf-map/jitdump writers (profile/JitDump.h) stream entries from it,
-/// and --dump-code walks it for annotated disassembly.
+/// here with its name (the cache key when there is one: a cache region's
+/// CodeMem carries it to v_end, so the entry is published once, under its
+/// final name and tier), target, size, and for translations the guest-PC
+/// range it was lifted from. The sampling profiler (profile/Profiler.h)
+/// attributes PCs through it, the perf-map/jitdump writers
+/// (profile/JitDump.h) stream entries from it, and --dump-code walks it
+/// for annotated disassembly.
 ///
-/// Concurrency: writers (publish/annotate/remove) serialize on a mutex;
-/// readers look PCs up in an immutable snapshot swapped through
-/// std::atomic<std::shared_ptr>, so a lookup never blocks on a writer.
-/// Snapshot rebuilds are amortized (every kRebuildEvery mutations) to keep
-/// the publish path off the service's install-latency SLO; a lookup only
-/// consults the snapshot while no mutations are pending — otherwise it
-/// takes the slow path and rebuilds — so attribution stays exact (never a
-/// removed or renamed entry) without per-publish rebuild cost.
+/// Concurrency: writers (publish/setGuestRange/remove) serialize on a
+/// mutex and only mark the read snapshot dirty; readers look PCs up in an
+/// immutable snapshot swapped through std::atomic<std::shared_ptr>, so a
+/// lookup never blocks on a writer while the snapshot is current. The
+/// snapshot is rebuilt on demand, never on the publish path: a dirty
+/// lookup() answers from the truth map under the lock (O(log n), no
+/// rebuild), and a dirty lookupHost() rebuilds. Attribution stays exact
+/// (never a removed or replaced entry) and publication stays O(log n).
 ///
 /// Like the telemetry layer it reports through, the whole registry
 /// compiles out under -DVCODE_TELEMETRY=OFF: the class below becomes an
@@ -46,9 +48,9 @@ namespace vcode {
 namespace profile {
 
 /// Metadata for one published code region. Immutable after publication
-/// except Samples (relaxed-atomic profiler heat); metadata updates
-/// (annotate/setGuestRange) replace the entry copy-on-write so concurrent
-/// readers never observe a string mid-write.
+/// except Samples (relaxed-atomic profiler heat); setGuestRange replaces
+/// the entry copy-on-write so concurrent readers never observe a partial
+/// update.
 struct CodeEntry {
   uint64_t Addr = 0;  ///< region base, in its arena's simulated addresses
   uint64_t Bytes = 0; ///< published length
@@ -89,7 +91,6 @@ public:
     uint64_t Published = 0; ///< publish() calls
     uint64_t Removed = 0;   ///< remove() plus overlap evictions
     uint64_t Live = 0;      ///< entries currently registered
-    uint64_t Renames = 0;   ///< annotate() metadata updates
   };
 
   /// Registers [Addr, Addr+Bytes) with entry point \p Entry. Any
@@ -102,11 +103,6 @@ public:
                    uintptr_t Host, std::string Name, const char *Target,
                    Tier T);
 
-  /// Renames the region based at exactly \p Addr and updates its tier
-  /// (CodeCache insert/promote know the key and final tier only after
-  /// v_end published). Returns false if no region is based there.
-  bool annotate(uint64_t Addr, const std::string &Name, Tier T);
-
   /// Records the guest-PC source range on the region containing
   /// \p AnyAddrInRegion (DBT translations). Returns false on no region.
   bool setGuestRange(uint64_t AnyAddrInRegion, uint64_t Lo, uint64_t Hi);
@@ -117,11 +113,13 @@ public:
 
   /// PC -> entry in the simulated address space of each region's arena.
   /// O(log n) against the read snapshot; never blocks on a publisher
-  /// unless mutations are pending (then rebuilds under the writer lock,
-  /// so a stale entry is never returned). NOT async-signal-safe.
+  /// unless mutations are pending (then searches the truth map under the
+  /// writer lock, so a stale entry is never returned). NOT
+  /// async-signal-safe.
   std::shared_ptr<const CodeEntry> lookup(uint64_t Pc) const;
   /// Host-address -> entry (SIGPROF RIPs, DBT translated-function
-  /// pointers). Same contract as lookup().
+  /// pointers). Same contract as lookup(), except that pending mutations
+  /// rebuild the snapshot (the truth map is not indexed by host address).
   std::shared_ptr<const CodeEntry> lookupHost(uintptr_t Pc) const;
 
   /// Every live entry, in address order.
@@ -178,13 +176,12 @@ public:
     return M;
   }
   struct Stats {
-    uint64_t Published = 0, Removed = 0, Live = 0, Renames = 0;
+    uint64_t Published = 0, Removed = 0, Live = 0;
   };
   uint64_t publish(uint64_t, uint64_t, uint64_t, uintptr_t, std::string,
                    const char *, Tier) {
     return 0;
   }
-  bool annotate(uint64_t, const std::string &, Tier) { return false; }
   bool setGuestRange(uint64_t, uint64_t, uint64_t) { return false; }
   void remove(uint64_t) {}
   std::shared_ptr<const CodeEntry> lookup(uint64_t) const { return {}; }

@@ -193,8 +193,13 @@ void exportOnPublish(const CodeEntry &E) {
     return;
   uint64_t Addr = E.Host ? uint64_t(E.Host) : E.Addr;
   if (GMapF) {
-    std::fprintf(GMapF, "%llx %llx %s\n", (unsigned long long)Addr,
-                 (unsigned long long)E.Bytes, E.Name.c_str());
+    // One line per symbol: cache keys can embed source text (tcc), so
+    // control characters become spaces.
+    std::fprintf(GMapF, "%llx %llx ", (unsigned long long)Addr,
+                 (unsigned long long)E.Bytes);
+    for (char C : E.Name)
+      std::fputc(static_cast<unsigned char>(C) < 0x20 ? ' ' : C, GMapF);
+    std::fputc('\n', GMapF);
     std::fflush(GMapF); // survive crashes mid-run; perf tails the file
   }
 #if defined(__linux__)

@@ -114,10 +114,7 @@ void X64Target::beginFunction(VCode &VC) {
   uint32_t ReservedBytes =
       uint32_t(16 + 16 * 8 + 9 * VC.prologueArgCopies().size());
   VC.setReservedPrologueWords(ReservedBytes);
-  CodeBuffer &B = VC.buf();
-  B.ensureWords(ReservedBytes);
-  for (uint32_t I = 0; I < ReservedBytes; ++I)
-    B.put8(0x90);
+  VC.buf().fill(0x90, ReservedBytes);
 }
 
 CodePtr X64Target::endFunction(VCode &VC) {

@@ -371,4 +371,93 @@ TEST(ConcurrencyCacheTest, FailedGenerationIsRetryable) {
   EXPECT_TRUE(H2.valid());
 }
 
+/// Generator for recency tests: a 64-byte fake function in a cache region.
+GenerateResult fakeGen(CodeCache::RegionAlloc &Alloc) {
+  CodeMem CM = Alloc(64);
+  GenerateResult R;
+  R.Code = CodePtr{CM.Guest, 64};
+  R.RegionBytes = CM.Size;
+  return R;
+}
+
+/// Which of \p Keys are cached (probing does not count as a use).
+std::string cachedKeys(CodeCache &Cache, const std::vector<std::string> &Keys) {
+  std::string Out;
+  for (const std::string &K : Keys)
+    if (Cache.lookup(K).valid())
+      Out += K;
+  return Out;
+}
+
+// Eviction follows use order: a hit moves its entry to the front, so the
+// victim is always the least recently used entry, and a probe through
+// lookup() is not a use.
+TEST(ConcurrencyCacheTest, HitsReorderSoVictimsFollowLru) {
+  TargetBundle B = makeBundle("mips");
+  CodeCache Cache(*B.Mem, CodeCache::Options(/*Shards=*/1,
+                                             /*MaxEntriesPerShard=*/3));
+  auto Use = [&](const std::string &K) {
+    return Cache.lookupOrGenerate(K, fakeGen).valid();
+  };
+  const std::vector<std::string> All = {"a", "b", "c", "d", "e", "f"};
+  ASSERT_TRUE(Use("a") && Use("b") && Use("c"));
+  ASSERT_TRUE(Use("a")); // hit: recency c, b, a -> a, c, b
+  ASSERT_TRUE(Use("d")); // evicts b, not the older-inserted a
+  EXPECT_EQ(cachedKeys(Cache, All), "acd");
+  ASSERT_TRUE(Use("c")); // c, d, a
+  ASSERT_TRUE(Use("e")); // evicts a
+  EXPECT_EQ(cachedKeys(Cache, All), "cde");
+  ASSERT_TRUE(Cache.lookup("d").valid()); // a probe does not refresh d
+  ASSERT_TRUE(Use("f"));                  // evicts d
+  EXPECT_EQ(cachedKeys(Cache, All), "cef");
+  CodeCache::Stats S = Cache.stats();
+  EXPECT_EQ(S.Evictions, 3u);
+  EXPECT_EQ(S.Hits, 2u);
+  EXPECT_EQ(S.Misses, 6u);
+}
+
+// An entry still generating is never a victim, even when it is the least
+// recently used: the generator of "slow" installs two more keys into the
+// full shard (the shard lock is not held while generating), and each of
+// those evictions has to skip it.
+TEST(ConcurrencyCacheTest, GeneratingEntriesAreNeverEvicted) {
+  TargetBundle B = makeBundle("mips");
+  CodeCache Cache(*B.Mem, CodeCache::Options(/*Shards=*/1,
+                                             /*MaxEntriesPerShard=*/1));
+  CodeCache::Handle Slow =
+      Cache.lookupOrGenerate("slow", [&](CodeCache::RegionAlloc &Alloc) {
+        EXPECT_TRUE(Cache.lookupOrGenerate("x", fakeGen).valid());
+        EXPECT_TRUE(Cache.lookupOrGenerate("y", fakeGen).valid());
+        EXPECT_EQ(cachedKeys(Cache, {"slow", "x", "y"}), "");
+        return fakeGen(Alloc);
+      });
+  ASSERT_TRUE(Slow.valid());
+  EXPECT_EQ(cachedKeys(Cache, {"slow", "x", "y"}), "slow");
+  EXPECT_EQ(Cache.stats().Evictions, 2u);
+  EXPECT_EQ(Cache.size(), 1u);
+}
+
+// A failed generation unlinks its entry from the map and the recency
+// list alike: later evictions never meet it, and capacity counts only
+// live entries.
+TEST(ConcurrencyCacheTest, FailedGenerationUnlinksItsEntry) {
+  TargetBundle B = makeBundle("mips");
+  CodeCache Cache(*B.Mem, CodeCache::Options(/*Shards=*/1,
+                                             /*MaxEntriesPerShard=*/2));
+  ASSERT_TRUE(Cache.lookupOrGenerate("a", fakeGen).valid());
+  CodeCache::Handle Bad =
+      Cache.lookupOrGenerate("bad", [](CodeCache::RegionAlloc &) {
+        GenerateResult R;
+        R.Err.Kind = CgErrKind::ArenaExhausted;
+        return R;
+      });
+  EXPECT_FALSE(Bad.valid());
+  ASSERT_TRUE(Cache.lookupOrGenerate("b", fakeGen).valid());
+  EXPECT_EQ(Cache.stats().Evictions, 0u); // "bad" took no slot
+  ASSERT_TRUE(Cache.lookupOrGenerate("c", fakeGen).valid()); // evicts a
+  EXPECT_EQ(cachedKeys(Cache, {"a", "bad", "b", "c"}), "bc");
+  EXPECT_EQ(Cache.stats().Evictions, 1u);
+  EXPECT_EQ(Cache.stats().Failures, 1u);
+}
+
 } // namespace

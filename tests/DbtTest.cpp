@@ -28,6 +28,7 @@
 #include "dpf/Engines.h"
 #include "mips/MipsTarget.h"
 #include "support/Rng.h"
+#include "support/Telemetry.h"
 #include <atomic>
 #include <gtest/gtest.h>
 #include <thread>
@@ -300,6 +301,45 @@ TEST(DbtTest, GuestRegenerationInvalidatesTranslations) {
   ASSERT_TRUE(G.isValid());
   EXPECT_EQ(Dbt.call(G.Entry, {}, Type::I).asInt32(), 333);
   EXPECT_EQ(Dbt.call(F2.Entry, {}, Type::I).asInt32(), 222);
+}
+
+// Translations take their regions from the cache's allocator, so an
+// evicted translation's native region returns to the pool and a later
+// translation reuses it. Churning far more (PC, code generation) keys
+// than the cache holds, through an arena too small to give each one its
+// own region, must never fail a translation.
+TEST(DbtTest, TranslationChurnRecyclesRegions) {
+  sim::Memory Mem;
+  mips::MipsTarget Tgt;
+  // 12 MiB of page-sized regions: room for the cache's 8 x 256 entries,
+  // not for one region per translation below.
+  auto Engine = std::make_shared<dbt::TranslationEngine>(Mem, 12u << 20);
+  if (!Engine->available())
+    GTEST_SKIP() << "binary translation is unavailable on this host";
+  dbt::MipsTranslatingCpu Dbt(Mem, Engine);
+  uint64_t Failures0 =
+      telemetry::registry().counterValue("dbt.translate_failures");
+
+  CodeMem CM = Mem.allocCode(4096);
+  constexpr int Rounds = 5000;
+  for (int K = 0; K < Rounds; ++K) {
+    // Regenerating in place bumps the guest code generation, so every
+    // call needs a fresh translation.
+    CodePtr F = emitConstFn(Tgt, CM, K);
+    ASSERT_TRUE(F.isValid());
+    ASSERT_EQ(Dbt.call(F.Entry, {}, Type::I).asInt32(), K);
+  }
+
+  CodeCache::Stats S = Engine->cache()->stats();
+  EXPECT_EQ(S.Failures, 0u);
+  EXPECT_GE(S.Misses, uint64_t(Rounds));
+  EXPECT_GT(S.Evictions, 0u);
+  EXPECT_GT(S.RegionsReused, 0u);
+  // Regions carved fresh from the arena stay bounded by the cache's
+  // capacity; everything else is recycled.
+  EXPECT_LE(S.Misses - S.RegionsReused, 8u * 256u + 64u);
+  EXPECT_EQ(telemetry::registry().counterValue("dbt.translate_failures"),
+            Failures0);
 }
 
 TEST(DbtTest, ConcurrentTranslationSharedEngine) {

@@ -12,7 +12,9 @@
 
 #include "TestUtil.h"
 #include "dpf/Engines.h"
+#include <cctype>
 #include <gtest/gtest.h>
+#include <set>
 
 using namespace vcode;
 using namespace vcode::dpf;
@@ -153,6 +155,48 @@ TEST_P(DpfTest, PerformanceOrderingHolds) {
   // DPF is "over an order of magnitude more efficient than previous
   // systems" — allow slack but insist on a big gap.
   EXPECT_GT(double(M) / double(D), 5.0);
+}
+
+// The filter-set cache key is injective: sets that differ in one field of
+// one atom, in the sign of a filter id, or in where one filter's atoms end
+// and the next one's begin all get different keys. Equal sets get equal
+// keys, and every key is printable on one line (it names CodeMap entries
+// and perf-map symbols).
+TEST(DpfKeyTest, DistinctSetsGetDistinctKeys) {
+  const std::vector<Filter> Base = makeTcpIpFilters(3);
+  std::vector<std::vector<Filter>> Sets = {Base};
+  auto Variant = [&](auto Change) {
+    std::vector<Filter> Fs = Base;
+    Change(Fs);
+    Sets.push_back(Fs);
+  };
+  for (uint32_t Flip : {1u, 0x40u, 0x80000000u}) {
+    Variant([&](auto &Fs) { Fs[1].Atoms[2].Offset ^= Flip; });
+    Variant([&](auto &Fs) { Fs[1].Atoms[2].Mask ^= Flip; });
+    Variant([&](auto &Fs) { Fs[1].Atoms[2].Value ^= Flip; });
+  }
+  Variant([](auto &Fs) { Fs[1].Atoms[2].Size = 2; });
+  Variant([](auto &Fs) { Fs[1].Atoms[2].Size = 0x84; });
+  Variant([](auto &Fs) { Fs[1].Id = -Fs[1].Id; });
+  Variant([](auto &Fs) { Fs[2].Id = -Fs[2].Id; });
+  // Same atoms, different split between filters 0 and 1.
+  Variant([](auto &Fs) {
+    Fs[1].Atoms.insert(Fs[1].Atoms.begin(), Fs[0].Atoms.back());
+    Fs[0].Atoms.pop_back();
+  });
+  Variant([](auto &Fs) { std::swap(Fs[0], Fs[1]); });
+  Variant([](auto &Fs) { Fs.pop_back(); });
+  Variant([](auto &Fs) { Fs[2].Atoms.clear(); });
+
+  std::set<std::string> Keys;
+  for (const std::vector<Filter> &Fs : Sets) {
+    std::string K = filterSetKey(Fs);
+    for (char C : K)
+      ASSERT_TRUE(std::isgraph(static_cast<unsigned char>(C))) << K;
+    Keys.insert(K);
+  }
+  EXPECT_EQ(Keys.size(), Sets.size());
+  EXPECT_EQ(filterSetKey(makeTcpIpFilters(3)), filterSetKey(Base));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTargets, DpfTest,

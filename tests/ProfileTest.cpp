@@ -12,7 +12,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/CodeCache.h"
 #include "core/VCode.h"
+#include "dpf/Engines.h"
 #include "mips/MipsTarget.h"
 #include "profile/CodeMap.h"
 #include "profile/Disasm.h"
@@ -69,14 +71,8 @@ TEST_F(ProfileTest, CodeMapLifecycle) {
   EXPECT_EQ(E->Bytes, 64u);
   EXPECT_EQ(E->Generation, Gen);
 
-  // CodeCache-style rename after publication.
-  EXPECT_TRUE(M.annotate(0x1000, "dpf|mips|set3", Tier::Tier1));
-  EXPECT_FALSE(M.annotate(0x9999, "nope", Tier::Tier0));
-  auto R = M.lookup(0x1000);
-  ASSERT_TRUE(R);
-  EXPECT_EQ(R->Name, "dpf|mips|set3");
-  EXPECT_EQ(R->GenTier, Tier::Tier1);
-  ASSERT_TRUE(M.findByName("dpf|mips|set3"));
+  ASSERT_TRUE(M.findByName("f1"));
+  EXPECT_FALSE(M.findByName("nope"));
 
   // DBT-style guest range on the containing region.
   EXPECT_TRUE(M.setGuestRange(0x1010, 0x400000, 0x400040));
@@ -205,6 +201,87 @@ TEST_F(ProfileTest, CodeMapChurnEightThreads) {
   EXPECT_EQ(Retired, uint64_t(kThreads) * kIters);
 }
 
+// The read snapshot is rebuilt on demand, never on a mutation count:
+// after a burst of removes and publishes, lookup() (which answers from
+// the truth map while the snapshot is dirty) and lookupHost() (which
+// rebuilds) both see exactly the latest state.
+TEST_F(ProfileTest, LookupsSeeLatestStateAfterMutationBurst) {
+  auto &M = profile::CodeMap::instance();
+  constexpr unsigned N = 16;
+  static uint8_t HostBuf[64 * N];
+  auto Host = [](unsigned I) {
+    return reinterpret_cast<uintptr_t>(HostBuf) + 64 * I;
+  };
+  auto Addr = [](unsigned I) { return uint64_t(0x10000 + 0x100 * I); };
+  for (unsigned I = 0; I < N; ++I)
+    M.publish(Addr(I), 64, Addr(I), Host(I), "r" + std::to_string(I), "x64",
+              Tier::Tier0);
+  ASSERT_TRUE(M.lookupHost(Host(3))); // builds a current snapshot
+  EXPECT_EQ(M.lookupHost(Host(3))->Name, "r3");
+
+  for (unsigned I = 1; I < N; I += 2)
+    M.remove(Addr(I));
+  M.publish(Addr(0), 64, Addr(0), Host(0), "r0b", "x64", Tier::Tier1);
+  for (unsigned I = 0; I < N; ++I) {
+    auto ByAddr = M.lookup(Addr(I) + 8);
+    auto ByHost = M.lookupHost(Host(I) + 8);
+    if (I % 2) {
+      EXPECT_FALSE(ByAddr) << I;
+      EXPECT_FALSE(ByHost) << I;
+      continue;
+    }
+    std::string Want = I ? "r" + std::to_string(I) : "r0b";
+    ASSERT_TRUE(ByAddr) << I;
+    ASSERT_TRUE(ByHost) << I;
+    EXPECT_EQ(ByAddr->Name, Want);
+    EXPECT_EQ(ByHost.get(), ByAddr.get());
+  }
+  EXPECT_EQ(M.lookup(Addr(0))->GenTier, Tier::Tier1);
+
+  // One more mutation after the rebuild is seen too.
+  M.remove(Addr(2));
+  EXPECT_FALSE(M.lookup(Addr(2)));
+  EXPECT_FALSE(M.lookupHost(Host(2)));
+  EXPECT_EQ(M.stats().Live, N / 2 - 1);
+}
+
+// A cached DPF install publishes its region once, already under the
+// cache key and the tier it was generated at — no second publish, no
+// rename. A hit publishes nothing; a promotion publishes the Tier-1
+// version under the same key and retires the Tier-0 one.
+TEST_F(ProfileTest, CachedDpfInstallPublishesUnderKeyAndTier) {
+  auto &M = profile::CodeMap::instance();
+  sim::Memory Mem;
+  mips::MipsTarget Tgt;
+  CodeCache Cache(Mem);
+  std::vector<dpf::Filter> Filters = dpf::makeTcpIpFilters(4);
+  std::string Key = dpf::DpfEngine::sharedCacheKey(
+      Tgt, dpf::DpfEngine::Dispatch::Auto, Filters);
+
+  dpf::DpfEngine E(Tgt, Mem);
+  E.setTier(Tier::Tier0);
+  ASSERT_FALSE(E.installShared(Cache, Filters)); // generated
+  EXPECT_EQ(M.stats().Published, 1u);
+  auto Ent = M.findByName(Key);
+  ASSERT_TRUE(Ent);
+  EXPECT_EQ(Ent->GenTier, Tier::Tier0);
+  EXPECT_EQ(M.lookup(E.entry()).get(), Ent.get());
+
+  dpf::DpfEngine Hit(Tgt, Mem);
+  Hit.setTier(Tier::Tier0);
+  ASSERT_TRUE(Hit.installShared(Cache, Filters));
+  EXPECT_EQ(M.stats().Published, 1u);
+
+  ASSERT_TRUE(E.promoteShared());
+  auto St = M.stats();
+  EXPECT_EQ(St.Published, 2u);
+  EXPECT_EQ(St.Live, 1u);
+  auto Promoted = M.findByName(Key);
+  ASSERT_TRUE(Promoted);
+  EXPECT_EQ(Promoted->GenTier, Tier::Tier1);
+  EXPECT_NE(Promoted.get(), Ent.get());
+}
+
 TEST_F(ProfileTest, VEndPublishesNamedEntry) {
   auto &M = profile::CodeMap::instance();
   M.setCaptureBytes(true);
@@ -301,6 +378,10 @@ TEST_F(ProfileTest, PerfMapStructure) {
   M.publish(0x7000, 0x40, 0x7000, 0, "sim only", "mips", Tier::Tier0);
   M.publish(0x8000, sizeof(HostBuf), 0x8000, H, "hosted_fn", "x64",
             Tier::Tier1);
+  // tcc cache keys embed source text; the symbol must stay on one line.
+  M.publish(0x9000, 0x10, 0x9000, 0,
+            "tcc|mips|raw|int f(int x) {\n\treturn x;\n}", "mips",
+            Tier::Tier0);
   profile::closeJitExports();
 
   // Test-side reader: every line is "<hex addr> <hex size> <name>", with
@@ -312,7 +393,8 @@ TEST_F(ProfileTest, PerfMapStructure) {
   std::vector<std::string> Lines;
   while (std::getline(In, Line))
     Lines.push_back(Line);
-  ASSERT_EQ(Lines.size(), 2u);
+  ASSERT_EQ(Lines.size(), 3u);
+  EXPECT_EQ(Lines[2], "9000 10 tcc|mips|raw|int f(int x) {  return x; }");
 
   uint64_t A0, S0, A1, S1;
   char Name1[64];

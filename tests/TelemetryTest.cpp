@@ -365,7 +365,8 @@ TEST(Telemetry, EmissionPhaseTimersWhenTimingOn) {
   mips::MipsTarget Tgt;
   ASSERT_TRUE(genOne(Tgt, Mem, 16).isValid());
   EXPECT_EQ(vt::registry().timer("core.emit").snapshot().Count, 1u);
-  EXPECT_EQ(vt::registry().timer("core.backpatch").snapshot().Count, 1u);
+  EXPECT_EQ(vt::registry().timer("core.fixup").snapshot().Count, 1u);
+  EXPECT_EQ(vt::registry().timer("core.publish").snapshot().Count, 1u);
   vt::setTiming(WasTiming);
   vt::resetAll();
 }
